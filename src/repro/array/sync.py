@@ -45,10 +45,13 @@ class SyncPolicy(enum.Enum):
     DF_PR = "DF/PR"
 
     @classmethod
-    def parse(cls, text: str) -> "SyncPolicy":
-        """Accept the paper's spellings: ``SI, RF, RF/PR, DF, DF/PR``."""
+    def parse(cls, text: "str | SyncPolicy") -> "SyncPolicy":
+        """Accept the paper's spellings: ``SI, RF, RF/PR, DF, DF/PR``
+        (any case; a member passes through)."""
+        if isinstance(text, cls):
+            return text
         for member in cls:
-            if member.value == text.upper():
+            if isinstance(text, str) and member.value == text.upper():
                 return member
         raise ValueError(
             f"unknown sync policy {text!r}; expected one of "

@@ -9,7 +9,7 @@ simulation run bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Optional, Union
 
 from repro.des.events import Event, Timeout
@@ -275,6 +275,31 @@ class Environment:
             heappush(self._queue, (self._now + delay, self._seq, event))
             return event
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create a :class:`Timeout` triggering at the absolute time *when*.
+
+        The event is made by :meth:`timeout` (freelist and all), so it is
+        scheduled exactly like a relative timeout created now.  The heap
+        key ``now + (when - now)`` equals *when* whenever
+        ``when <= 2 * now`` (Sterbenz); early in a run the round trip can
+        miss by an ulp, and then the entry just pushed is re-keyed to
+        *when*.  Its sequence number is kept, so same-instant ordering is
+        that of any other event scheduled now.
+        """
+        now = self._now
+        if when < now:
+            raise ValueError(f"time {when} is before now ({now})")
+        delay = when - now
+        event = self.timeout(delay, value)
+        if now + delay != when:
+            queue = self._queue
+            for i, (_, seq, queued) in enumerate(queue):
+                if queued is event:
+                    queue[i] = (when, seq, event)
+                    heapify(queue)
+                    break
+        return event
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Launch *generator* as a simulation :class:`Process`."""

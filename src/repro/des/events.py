@@ -104,6 +104,26 @@ class Event:
         self.env.schedule(self)
         return self
 
+    def settle(self, value: Any = None) -> "Event":
+        """Succeed, skipping the heap trip if nobody is subscribed yet.
+
+        With a subscriber this is :meth:`succeed`.  Without one, the
+        event is marked processed in place: processing it would only
+        run an empty callback list.  A later ``yield`` on it then
+        continues synchronously and a later condition counts it at
+        once.  Event hooks never see a settled event.  Only plain
+        events qualify: conditions and processes do work when
+        processed.
+        """
+        if self.triggered:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        if self.callbacks:
+            return self.succeed(value)
+        self._ok = True
+        self._value = value
+        self.callbacks = None
+        return self
+
     def fail(self, exception: BaseException) -> "Event":
         """Set a failure outcome and schedule the event immediately.
 

@@ -45,7 +45,12 @@ class Organization(enum.Enum):
     PARITY_STRIPING = "parity_striping"
 
     @classmethod
-    def parse(cls, text: str) -> "Organization":
+    def parse(cls, text: "str | Organization") -> "Organization":
+        """A member from its name or an alias (a member passes through)."""
+        if isinstance(text, cls):
+            return text
+        if not isinstance(text, str):
+            raise ValueError(f"unknown organization {text!r}")
         t = text.strip().lower().replace("-", "_").replace(" ", "_")
         aliases = {
             "parstripe": cls.PARITY_STRIPING,
@@ -105,6 +110,17 @@ def _disk_bandwidth(disk: DiskParams, block_bytes: int) -> float:
     return 1.0 / service
 
 
+_DESTAGE_POLICIES = ("periodic", "lru_demand", "decoupled")
+_DISK_SCHEDULERS = ("fcfs", "sstf")
+
+
+def _choice(what: str, value, choices: tuple[str, ...]) -> str:
+    """*value* as one of *choices* (case-insensitive), or ValueError."""
+    if isinstance(value, str) and value.strip().lower() in choices:
+        return value.strip().lower()
+    raise ValueError(f"unknown {what} {value!r}; expected one of {choices}")
+
+
 @dataclass(frozen=True)
 class VAConfig:
     """One Virtual Array of a Heterogeneous Disk Array.
@@ -138,6 +154,7 @@ class VAConfig:
     parity_grain: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "organization", Organization.parse(self.organization))
         if self.n < 1:
             raise ValueError("VA n must be >= 1")
         if self.striping_unit < 1:
@@ -264,6 +281,20 @@ class SystemConfig:
             object.__setattr__(self, "vas", tuple(self.vas))
         if not isinstance(self.pool, tuple):
             object.__setattr__(self, "pool", tuple(self.pool))
+        # Coerce the named choices to their canonical form, or reject
+        # them here rather than deep inside a run.
+        object.__setattr__(self, "organization", Organization.parse(self.organization))
+        object.__setattr__(self, "sync_policy", SyncPolicy.parse(self.sync_policy).value)
+        object.__setattr__(
+            self,
+            "destage_policy",
+            _choice("destage policy", self.destage_policy, _DESTAGE_POLICIES),
+        )
+        object.__setattr__(
+            self,
+            "disk_scheduler",
+            _choice("disk scheduler", self.disk_scheduler, _DISK_SCHEDULERS),
+        )
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.blocks_per_disk < 1:
@@ -288,13 +319,8 @@ class SystemConfig:
             raise ValueError("destage_max_blocks must be >= 1")
         if not 0.0 < self.rmw_threshold <= 1.0:
             raise ValueError("rmw_threshold must be in (0, 1]")
-        if self.destage_policy not in ("periodic", "lru_demand", "decoupled"):
-            raise ValueError(f"unknown destage policy {self.destage_policy!r}")
-        if self.disk_scheduler not in ("fcfs", "sstf"):
-            raise ValueError(f"unknown disk scheduler {self.disk_scheduler!r}")
         if self.decoupled_batches_per_period < 1 or self.decoupled_batch_blocks < 1:
             raise ValueError("decoupled destage parameters must be >= 1")
-        SyncPolicy.parse(self.sync_policy)  # validate early
         if self.allocation not in POLICIES:
             raise ValueError(
                 f"unknown allocation policy {self.allocation!r}; "

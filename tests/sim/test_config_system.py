@@ -156,3 +156,81 @@ class TestBuildSystem:
         a, b = system.controllers
         assert a.channel is not b.channel
         assert not set(id(d) for d in a.disks) & set(id(d) for d in b.disks)
+
+
+class TestNamedChoices:
+    """String spellings are coerced at construction or rejected there."""
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("raid5", Organization.RAID5),
+            ("Parity-Striping", Organization.PARITY_STRIPING),
+            (Organization.MIRROR, Organization.MIRROR),
+        ],
+    )
+    def test_organization_coerced(self, text, expected):
+        assert SystemConfig(organization=text).organization is expected
+
+    @pytest.mark.parametrize("bad", ["raid6", 5, None])
+    def test_organization_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SystemConfig(organization=bad)
+
+    def test_string_organization_runs(self):
+        from repro.sim import run_trace
+        from repro.trace import generate_trace, trace2_config
+
+        trace = generate_trace(trace2_config(0.002))
+        by_name = run_trace(SystemConfig(organization="raid5"), trace)
+        by_member = run_trace(SystemConfig(organization=Organization.RAID5), trace)
+        assert by_name == by_member
+        assert by_name.organization == "raid5"
+
+    def test_va_organization_coerced(self):
+        from repro.sim import VAConfig
+
+        assert VAConfig(organization="base", n=2).organization is Organization.BASE
+        with pytest.raises(ValueError):
+            VAConfig(organization="raid6", n=2)
+
+    @pytest.mark.parametrize(
+        "given,stored",
+        [("DF", "DF"), ("df/pr", "DF/PR"), ("rf", "RF")],
+    )
+    def test_sync_policy_canonical(self, given, stored):
+        assert SystemConfig(sync_policy=given).sync_policy == stored
+
+    def test_sync_policy_member_accepted(self):
+        from repro.array.sync import SyncPolicy
+
+        cfg = SystemConfig(sync_policy=SyncPolicy.RF_PR)
+        assert cfg.sync_policy == "RF/PR"
+        assert cfg.sync_policy_enum is SyncPolicy.RF_PR
+        with pytest.raises(ValueError):
+            SystemConfig(sync_policy=3)
+
+    @pytest.mark.parametrize(
+        "field,given,stored",
+        [
+            ("disk_scheduler", "SSTF", "sstf"),
+            ("disk_scheduler", "fcfs", "fcfs"),
+            ("destage_policy", " Decoupled", "decoupled"),
+            ("destage_policy", "lru_demand", "lru_demand"),
+        ],
+    )
+    def test_string_choices_canonical(self, field, given, stored):
+        assert getattr(SystemConfig(**{field: given}), field) == stored
+
+    @pytest.mark.parametrize("field", ["disk_scheduler", "destage_policy"])
+    @pytest.mark.parametrize("bad", ["elevator", None, 1])
+    def test_string_choices_rejected(self, field, bad):
+        with pytest.raises(ValueError):
+            SystemConfig(**{field: bad})
+
+    def test_with_revalidates_choices(self):
+        cfg = SystemConfig().with_(organization="mirror", disk_scheduler="SSTF")
+        assert cfg.organization is Organization.MIRROR
+        assert cfg.disk_scheduler == "sstf"
+        with pytest.raises(ValueError):
+            SystemConfig().with_(destage_policy="never")
