@@ -39,7 +39,6 @@ from repro.des.events import (
 from repro.des.process import Process
 from repro.des.resources import (
     PriorityStore,
-    Release,
     Request,
     Resource,
     Store,
@@ -56,7 +55,6 @@ __all__ = [
     "Interrupt",
     "PriorityStore",
     "Process",
-    "Release",
     "Request",
     "Resource",
     "Store",

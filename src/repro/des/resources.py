@@ -22,7 +22,7 @@ from repro.des.events import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.environment import Environment
 
-__all__ = ["Request", "Release", "Resource", "Store", "StorePut", "StoreGet", "PriorityStore"]
+__all__ = ["Request", "Resource", "Store", "StorePut", "StoreGet", "PriorityStore"]
 
 
 class Request(Event):
@@ -56,17 +56,6 @@ class Request(Event):
         self.resource._cancel(self)
 
 
-class Release(Event):
-    """Event representing the completion of a release (always immediate)."""
-
-    __slots__ = ("request",)
-
-    def __init__(self, env: "Environment", request: Request) -> None:
-        super().__init__(env)
-        self.request = request
-        self.succeed()
-
-
 class Resource:
     """A pool of ``capacity`` identical servers with a priority queue.
 
@@ -98,24 +87,28 @@ class Resource:
         return len(self._waiting)
 
     def request(self, priority: float = 0.0) -> Request:
-        """Claim a server; the returned event triggers when granted."""
+        """Claim a server; the returned event triggers when granted.
+
+        A free server is granted in place (:meth:`Event.settle`): nobody
+        waits on the claim yet, so ``yield claim`` continues at once
+        without a trip through the event queue.
+        """
         req = Request(self, priority)
         if len(self.users) < self.capacity and not self._waiting:
             self.users.append(req)
-            req.succeed()
+            req.settle()
         else:
             self._seq += 1
             heapq.heappush(self._waiting, (priority, self._seq, req))
         return req
 
-    def release(self, request: Request) -> Release:
+    def release(self, request: Request) -> None:
         """Release a granted claim, waking the highest-priority waiter."""
         try:
             self.users.remove(request)
         except ValueError:
             raise RuntimeError(f"{request!r} does not hold {self!r}") from None
         self._grant_next()
-        return Release(self.env, request)
 
     def _cancel(self, request: Request) -> None:
         for i, (_, _, queued) in enumerate(self._waiting):

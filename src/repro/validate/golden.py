@@ -92,10 +92,13 @@ def snapshot(result, include_samples: bool = False) -> dict:
             for a in result.arrays
         ],
     }
-    # Failure-scenario outcome, only for failure-injected runs: the
-    # section is added conditionally so every pre-existing fixture (and
-    # every healthy run's fingerprint) is untouched by the subsystem's
-    # existence.
+    # Per-VA tallies and the failure-scenario outcome, only for
+    # heterogeneous and failure-injected runs: the sections are added
+    # conditionally so every pre-existing fixture (and every legacy
+    # run's fingerprint) is untouched by those subsystems' existence.
+    va_response = getattr(result, "va_response", None)
+    if va_response:
+        out["va_response"] = [_tally_snapshot(t, include_samples) for t in va_response]
     report = getattr(result, "failures", None)
     if report is not None:
         out["failures"] = report.to_dict()

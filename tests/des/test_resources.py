@@ -29,6 +29,14 @@ class TestResource:
         env.run()
         assert res.count == 0
 
+    def test_free_grant_and_release_schedule_no_event(self, env):
+        res = Resource(env)
+        seq = env._seq
+        req = res.request()
+        assert req.processed and res.count == 1
+        res.release(req)
+        assert env._seq == seq and res.count == 0
+
     def test_mutual_exclusion(self, env):
         res = Resource(env)
         log = []
