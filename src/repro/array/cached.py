@@ -105,9 +105,10 @@ class CachedController(ArrayController):
         yield from self._acquire_slots(len(missing))
         addrs = [(b, self.plans.map_block(b)) for b in missing]
         runs = merge_runs([a for _, a in addrs])
-        fetches = [self.env.process(self._fetch_run(run)) for run in runs]
-        if fetches:
-            yield AllOf(self.env, fetches)
+        if len(runs) == 1:
+            yield from self._fetch_run(runs[0])
+        elif runs:
+            yield AllOf(self.env, [self.env.process(self._fetch_run(run)) for run in runs])
         yield from self._channel_transfer(nblocks)
 
     def _fetch_run(self, run: Run) -> Generator[Event, None, None]:
@@ -122,8 +123,9 @@ class CachedController(ArrayController):
             self.cache.release_slots(1)
             if self.cache.get(lblock) is None:
                 self.cache.insert_clean(lblock)
-            else:
-                self._notify_slot()  # raced with another inserter
+        # A freed slot or a new evictable block: either can unblock a
+        # waiter that found every resident block mid-destage.
+        self._notify_slot()
 
     def _handle_write(self, lstart: int, nblocks: int) -> Generator[Event, None, None]:
         # Host data crosses the channel into the NV cache.
@@ -142,6 +144,8 @@ class CachedController(ArrayController):
                 yield from self._acquire_slots(1)
                 cache.release_slots(1)
             cache.write(b)
+        # The written blocks are eviction candidates (by sync writeback).
+        self._notify_slot()
 
     def _pick_read_disk(self, run: Run) -> Disk:
         """Read routing: mirrors use the nearer arm of the pair."""

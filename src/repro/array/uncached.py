@@ -89,11 +89,11 @@ class _UncachedController(ArrayController):
         # Host data crosses the channel into the track buffers first.
         yield from self._channel_transfer(nblocks)
         plan = self.plans.write_plan(lstart, nblocks)
+        if len(plan) == 1:
+            yield from self._write_group(plan[0])
+            return
         procs = [self.env.process(self._write_group(group)) for group in plan]
-        if len(procs) == 1:
-            yield procs[0]
-        else:
-            yield AllOf(self.env, procs)
+        yield AllOf(self.env, procs)
 
     def _group_buffers(self, group: WriteGroup) -> int:
         """Track buffers a write group needs (claimed atomically)."""

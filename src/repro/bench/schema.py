@@ -99,6 +99,26 @@ def _context(doc: dict) -> Dict[str, object]:
 # -- adapters ----------------------------------------------------------------
 
 
+def _key_campaign(metrics: Dict[str, Metric], doc: object) -> Dict[str, Metric]:
+    """Key the ``campaign.*`` metrics by the campaign's scale and jobs.
+
+    A campaign's wall time grows with its scale, so timings from
+    different scales are different metrics: ``campaign.serial_s`` of a
+    run at scale 0.01 with 2 jobs becomes
+    ``campaign[scale=0.01,jobs=2].serial_s``, and a record at another
+    scale reads as ``new``/``absent`` instead of a regression.  Records
+    that do not say their scale and jobs keep the plain names.
+    """
+    campaign = doc.get("campaign") if isinstance(doc, dict) else None
+    if not isinstance(campaign, dict) or "scale" not in campaign or "jobs" not in campaign:
+        return metrics
+    prefix = f"campaign[scale={campaign['scale']:g},jobs={campaign['jobs']}]."
+    return {
+        prefix + name[len("campaign."):] if name.startswith("campaign.") else name: metric
+        for name, metric in metrics.items()
+    }
+
+
 def _from_campaign_kernel(doc: dict, source: str) -> BenchRecord:
     metrics: Dict[str, Metric] = {}
     for name, spec in {
@@ -131,7 +151,7 @@ def _from_campaign_kernel(doc: dict, source: str) -> BenchRecord:
     return BenchRecord(
         bench_id="campaign+kernel",
         context=_context(doc),
-        metrics=metrics,
+        metrics=_key_campaign(metrics, doc),
         raw=doc,
         source=source,
     )
@@ -188,6 +208,8 @@ def _from_normalized(doc: dict, source: str) -> BenchRecord:
     context = doc.get("context", {})
     if not isinstance(context, dict):
         raise BenchSchemaError(f"{source}: 'context' must be an object")
+    if doc["bench_id"] == "campaign+kernel":
+        metrics = _key_campaign(metrics, doc.get("raw"))
     return BenchRecord(
         bench_id=doc["bench_id"],
         context=context,

@@ -305,6 +305,19 @@ class Environment:
         """Launch *generator* as a simulation :class:`Process`."""
         return Process(self, generator)
 
+    def process_now(self, generator: Generator[Event, Any, Any]) -> Process:
+        """Launch *generator* and run it to its first ``yield`` right now.
+
+        Unlike :meth:`process`, no initialization event is scheduled: the
+        body runs inside the caller's step, before anything else queued
+        for this instant.  That is order-equivalent to :meth:`process`
+        only when nothing else would run at this instant before the
+        caller yields (as at a trace arrival, where the source sleeps
+        until the next arrival).  Children spawned to run concurrently
+        use :meth:`process`.
+        """
+        return Process(self, generator, now=True)
+
     def all_of(self, events) -> Event:
         """Event triggering once all of *events* have triggered."""
         from repro.des.events import AllOf

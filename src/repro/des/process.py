@@ -18,19 +18,36 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Process"]
 
+#: The outcome a process started now is resumed with: success, ``None``.
+_STARTED = Event.__new__(Event)
+_STARTED._ok = True
+_STARTED._value = None
+_STARTED.callbacks = None
+
 
 class Process(Event):
     """An active simulation entity driven by a generator.
 
-    The process is started immediately: an initialization event is
-    scheduled at the current simulation time, so the generator body begins
-    executing once the environment processes that event (i.e. *not*
-    synchronously inside the constructor).
+    By default the process starts *deferred*: an initialization event is
+    scheduled at the current simulation time, and the generator body
+    begins once the environment processes that event, after every event
+    already queued for this instant.  With ``now=True`` (used through
+    :meth:`Environment.process_now`) the body instead runs to its first
+    ``yield`` inside the constructor, in the caller's step, and no
+    initialization event is scheduled.
+
+    A process that returns while nobody waits on it is settled in place,
+    like :meth:`Event.settle`: it is marked processed without a heap
+    trip, and a later ``yield`` or condition on it continues at once.  A
+    process that raises is always scheduled, so an unhandled error still
+    ends :meth:`Environment.run`.
     """
 
     __slots__ = ("_generator", "_send", "_target", "name", "parent")
 
-    def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
+    def __init__(
+        self, env: "Environment", generator: Generator[Event, Any, Any], *, now: bool = False
+    ) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
@@ -42,14 +59,18 @@ class Process(Event):
         #: for processes created outside any process, e.g. at build time).
         #: Observers use the chain to attribute work to a logical request.
         self.parent: Optional[Process] = env.active_process
+        #: The event this process is currently waiting on.
+        self._target: Optional[Event] = None
 
+        if now:
+            self._resume(_STARTED)
+            return
         init = Event(env)
         init._ok = True
         init._value = None
         init.callbacks = [self._resume]
         env.schedule(init)
-        #: The event this process is currently waiting on.
-        self._target: Optional[Event] = init
+        self._target = init
 
     @property
     def is_alive(self) -> bool:
@@ -97,6 +118,9 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with *event*'s outcome."""
         env = self.env
+        # A process started now runs inside its starter's step; the
+        # starter is active again once this resume returns.
+        starter = env._active_proc
         env._active_proc = self
         while True:
             try:
@@ -112,7 +136,11 @@ class Process(Event):
                 self._target = None
                 self._ok = True
                 self._value = stop.value
-                env.schedule(self)
+                if self.callbacks:
+                    env.schedule(self)
+                else:
+                    # Nobody waits: processing would run an empty list.
+                    self.callbacks = None
                 break
             except BaseException as error:
                 self._target = None
@@ -158,7 +186,7 @@ class Process(Event):
             # Already processed: continue synchronously with its outcome.
             event = next_event
 
-        env._active_proc = None
+        env._active_proc = starter
 
     def __repr__(self) -> str:
         return f"<Process({self.name}) object at 0x{id(self):x}>"

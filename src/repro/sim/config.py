@@ -9,6 +9,7 @@ placement, 16 MB cache for cached organizations.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.array.sync import SyncPolicy
@@ -311,8 +312,8 @@ class SystemConfig:
             raise ValueError("track_buffers_per_disk must be >= 1")
         if self.si_max_hold_revolutions < 1:
             raise ValueError("si_max_hold_revolutions must be >= 1")
-        if self.cache_mb <= 0:
-            raise ValueError("cache_mb must be positive")
+        if not 0.0 < self.cache_mb < math.inf or self.cache_blocks < 1:
+            raise ValueError("cache_mb must be finite, positive and hold at least one block")
         if self.destage_period_ms <= 0:
             raise ValueError("destage period must be positive")
         if self.destage_max_blocks is not None and self.destage_max_blocks < 1:

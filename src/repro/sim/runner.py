@@ -174,6 +174,7 @@ def run_trace(
         len(config.vas) if config.heterogeneous
         else config.arrays_for(workload.ndisks)
     )
+    _check_reads_fit_cache(config, workload)
 
     env = Environment()
     system = build_system(env, config, narrays, controller_factory=controller_factory)
@@ -305,6 +306,32 @@ def run_trace(
     return result
 
 
+def _check_reads_fit_cache(config: SystemConfig, workload: Union[Trace, TraceStream]) -> None:
+    """Reject a workload with a read larger than a controller cache.
+
+    A read miss claims all its cache slots at once, so one larger than
+    the whole cache would wait for them forever.  A stream is judged
+    by the largest request its generator may draw.
+    """
+    views = (
+        [config.va_view(vi) for vi in range(len(config.vas))]
+        if config.heterogeneous else [config]
+    )
+    caches = [view.cache_blocks for view in views if view.cached]
+    if not caches:
+        return
+    if isinstance(workload, Trace):
+        reads = workload.records["nblocks"][~workload.records["is_write"]]
+        largest = int(reads.max()) if len(reads) else 0
+    else:
+        largest = workload.config.max_request_blocks
+    if largest > min(caches):
+        raise ValueError(
+            f"the workload reads up to {largest} blocks at once but a controller "
+            f"cache holds {min(caches)}; a read miss cannot be larger than the cache"
+        )
+
+
 class _Progress:
     """Counts completed requests and triggers when the last finishes."""
 
@@ -358,14 +385,15 @@ def _source(
                 yield env.timeout(t - env.now)
             if monitor is not None:
                 monitor.request_released(rid, env.now)
-            lstart, span, write = lblocks[i], nblocks[i], is_write[i]
-            proc = env.process(
+            # Started in this step: the source sleeps until the next
+            # arrival right after, so no other event runs in between.
+            env.process_now(
                 _request(
                     env,
                     system,
-                    lstart,
-                    span,
-                    write,
+                    lblocks[i],
+                    nblocks[i],
+                    is_write[i],
                     warmup_ms,
                     result,
                     progress,
@@ -375,8 +403,6 @@ def _source(
                     collector,
                 )
             )
-            if tracer is not None:
-                tracer.request_released(rid, proc, lstart, span, write)
             rid += 1
 
 
@@ -395,6 +421,8 @@ def _request(
     collector=None,
 ) -> Generator[Event, None, None]:
     """Service one trace request, splitting across arrays if needed."""
+    if tracer is not None:
+        tracer.request_released(rid, env.active_process, lblock, nblocks, is_write)
     t0 = env.now
     parts = system.split(lblock, nblocks)
 

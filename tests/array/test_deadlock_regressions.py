@@ -11,6 +11,13 @@ Two deadlock classes were found under concurrent parity updates:
    reads on its disk while its own reads queue behind a symmetric
    parity write.  Broken by submitting reconstruct parity only after
    its reads complete.
+
+A third hazard is a lost wake-up in the cache's slot waiters:
+
+3. **Tiny cache**: a miss that finds every resident block mid-destage
+   waits for a slot.  Only a destage completion or an eviction woke it,
+   so a block that became evictable by a write or a fetch left it
+   waiting forever.  Broken by notifying after each write and fetch.
 """
 
 import numpy as np
@@ -105,3 +112,34 @@ class TestPriorityReconstructParity:
             total += 1
         env.run(until=600_000)
         assert len(finished) == total
+
+
+class TestSlotWaiterWakeUp:
+    @pytest.mark.parametrize("policy", ["lru_demand", "periodic"])
+    @pytest.mark.parametrize("org", ["base", "raid5"])
+    def test_one_block_cache_burst_all_finish(self, org, policy):
+        env = Environment()
+        cfg = SystemConfig(
+            organization=Organization.parse(org),
+            n=4,
+            blocks_per_disk=BPD,
+            cached=True,
+            cache_mb=4096 / 2**20,  # one block
+            destage_policy=policy,
+        )
+        ctrl = build_system(env, cfg, 1).controllers[0]
+        assert ctrl.cache.capacity == 1
+        finished = []
+
+        def request(env, at, lb, is_write):
+            yield env.timeout(at)
+            yield from ctrl.handle(lb, 1, is_write)
+            finished.append(lb)
+
+        # Four writes 1 ms apart queue behind each other's sync
+        # writebacks; the read arrives while all of them wait.
+        for i in range(4):
+            env.process(request(env, 1.0 + i, 500 + 7 * i, True))
+        env.process(request(env, 5.0, 100, False))
+        env.run(until=60_000)
+        assert sorted(finished) == [100, 500, 507, 514, 521]

@@ -62,13 +62,28 @@ class TestAdapters:
     def test_campaign_kernel_shape(self):
         record = normalize(CAMPAIGN_KERNEL, source="t")
         assert record.bench_id == "campaign+kernel"
-        assert record.metrics["campaign.speedup"].value == 2.0
-        assert record.metrics["campaign.speedup"].direction == "higher"
-        assert record.metrics["campaign.serial_s"].direction == "lower"
+        campaign = "campaign[scale=0.01,jobs=2]"
+        assert record.metrics[f"{campaign}.speedup"].value == 2.0
+        assert record.metrics[f"{campaign}.speedup"].direction == "higher"
+        assert record.metrics[f"{campaign}.serial_s"].direction == "lower"
         assert record.metrics["event_throughput.events_per_s"].value == 100000
-        assert record.metrics["campaign.outputs_identical"].value == 1.0
+        assert record.metrics[f"{campaign}.outputs_identical"].value == 1.0
         assert record.context["cores"] == 2
         assert record.raw is CAMPAIGN_KERNEL
+
+    def test_campaign_metrics_keyed_by_scale_and_jobs(self):
+        other = dict(CAMPAIGN_KERNEL, campaign=dict(CAMPAIGN_KERNEL["campaign"], scale=0.02))
+        a = normalize(CAMPAIGN_KERNEL, source="a").metrics
+        b = normalize(other, source="b").metrics
+        assert "campaign[scale=0.01,jobs=2].serial_s" in a
+        assert "campaign[scale=0.02,jobs=2].serial_s" in b
+        assert not {n for n in a if n.startswith("campaign")} & set(b)
+        # Kernel metrics do not depend on the campaign scale.
+        assert "event_throughput.events_per_s" in a and "event_throughput.events_per_s" in b
+
+    def test_campaign_without_scale_keeps_plain_names(self):
+        doc = dict(CAMPAIGN_KERNEL, campaign={"serial_s": 1.0})
+        assert "campaign.serial_s" in normalize(doc, source="t").metrics
 
     def test_analytic_shape(self):
         record = normalize(ANALYTIC, source="t")
@@ -123,6 +138,11 @@ class TestCommittedFiles:
         record = load_bench_file(path)
         assert record.metrics, f"{path.name} normalized to zero metrics"
         assert record.bench_id
+
+    def test_committed_normalized_records_key_campaign_by_scale(self):
+        record = load_bench_file(ROOT / "BENCH_5.json")
+        assert "campaign[scale=0.01,jobs=2].serial_s" in record.metrics
+        assert "campaign.serial_s" not in record.metrics
 
     def test_at_least_two_committed_files(self):
         # The trajectory gate needs history to compare against.

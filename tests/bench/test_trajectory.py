@@ -1,12 +1,15 @@
 """Baseline/regression detection and the compare CLI's exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench.schema import SCHEMA, BenchRecord, Metric
 from repro.bench.trajectory import analyze, render_table
 from repro.bench.__main__ import EXIT_OK, EXIT_REGRESSION, EXIT_SCHEMA, main
+
+ROOT = Path(__file__).resolve().parent.parent.parent
 
 
 def record(source, **values):
@@ -126,6 +129,15 @@ class TestCompareCli:
         out = capsys.readouterr().out
         assert "trajectory over 2 bench file(s)" in out
         assert "x" in out
+
+    def test_committed_history_across_campaign_scales_passes(self, capsys):
+        # BENCH_5 ran the campaign at scale 0.01 and BENCH_10 at 0.02: the
+        # timings are different metrics, not a regression of one another.
+        files = [str(ROOT / f"BENCH_{n}.json") for n in (5, 6, 10)]
+        assert main(["compare", *files]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "REGRESSION" not in captured.out
+        assert "campaign[scale=0.02,jobs=2].serial_s" in captured.out
 
     def test_injected_regression_exits_nonzero(self, tmp_path, capsys):
         a = write_bench(tmp_path / "a.json", x=100.0)

@@ -99,6 +99,35 @@ class TestDecomposeRequest:
         assert decompose_request(self.root(t1=0.0), []) == {}
 
 
+class TestAttribution:
+    """Every request starts in its arrival step and single children run
+    inline, so attribution must come from the process chain alone."""
+
+    @staticmethod
+    def _assert_within_root(data, spans):
+        roots = roots_by_rid(data)
+        for span in spans:
+            root = roots[span.rid]
+            assert root.t0 <= span.t0 and span.t1 <= root.t1, span
+
+    @pytest.mark.parametrize("fixture", ["raid5_result", "mirror_result"])
+    def test_uncached_disk_and_channel_spans_belong_to_requests(self, fixture, request):
+        data = request.getfixturevalue(fixture).trace
+        spans = [s for s in data.spans if s.kind in ("disk", "channel")]
+        assert spans
+        assert all(s.rid is not None for s in spans)
+        self._assert_within_root(data, spans)
+
+    def test_cached_foreground_spans_belong_to_requests(self, cached_result):
+        data = cached_result.trace
+        channel = [s for s in data.spans if s.kind == "channel"]
+        assert len(channel) == cached_result.requests
+        assert all(s.rid is not None for s in channel)
+        disk = [s for s in data.spans if s.kind == "disk" and s.rid is not None]
+        assert disk  # read misses; destage writes stay on the background track
+        self._assert_within_root(data, channel + disk)
+
+
 class TestAnnotations:
     def test_mirror_route_marks(self, mirror_result):
         marks = [

@@ -11,9 +11,14 @@ that removes events lowers these numbers on purpose; update them then.
 import pytest
 
 from repro.sim import SystemConfig, run_trace
-from repro.trace import generate_trace, trace2_config
+from repro.trace import generate_trace, trace1_config, trace2_config
 
 REQUESTS = 695
+CACHED_REQUESTS = 3363
+
+#: Events of the uncached Trace-2 run and of the cached Trace-1 run.
+EVENTS = {"base": 3543, "mirror": 4107, "raid5": 9577, "parity_striping": 5195}
+CACHED_EVENTS = {"raid5": 22616, "raid4": 22706, "mirror": 18206}
 
 
 @pytest.fixture(scope="module")
@@ -23,16 +28,23 @@ def trace():
     return trace
 
 
-@pytest.mark.parametrize(
-    "org,events",
-    [
-        ("base", 5306),
-        ("mirror", 5870),
-        ("raid5", 11318),
-        ("parity_striping", 6958),
-    ],
-)
-def test_events_per_organization(trace, org, events):
+@pytest.mark.parametrize("org", EVENTS)
+def test_events_per_organization(trace, org):
     result = run_trace(SystemConfig(organization=org), trace, warmup_ms=0.0)
     assert result.requests == REQUESTS
-    assert result.events == events
+    assert result.events == EVENTS[org]
+
+
+@pytest.fixture(scope="module")
+def cached_trace():
+    trace = generate_trace(trace1_config(0.001))
+    assert len(trace) == CACHED_REQUESTS
+    return trace
+
+
+@pytest.mark.parametrize("org", CACHED_EVENTS)
+def test_cached_events_per_organization(cached_trace, org):
+    config = SystemConfig(organization=org, cached=True, cache_mb=16.0, parity_caching=True)
+    result = run_trace(config, cached_trace, warmup_ms=0.0)
+    assert result.requests == CACHED_REQUESTS
+    assert result.events == CACHED_EVENTS[org]
