@@ -60,9 +60,7 @@ class ArrayController(ABC):
             enabled=getattr(config, "plan_cache", True),
         )
         self.requests_handled = 0
-        #: Optional validation tap (``repro.validate``): an object with
-        #: ``on_handle(controller, lstart, nblocks, is_write)`` and
-        #: ``on_destage(controller, run)``.  ``None`` keeps request
+        #: Optional :class:`~repro.probe.Probe`; ``None`` keeps request
         #: admission at one identity check.
         self.probe = None
 

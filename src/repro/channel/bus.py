@@ -41,10 +41,8 @@ class Channel:
         self.bytes_transferred = 0
         self.transfers = 0
         self.queue_length = TimeWeighted(env.now, 0.0)
-        #: Optional observation tap (``repro.validate`` / ``repro.obs``):
-        #: an object with ``on_channel_request(channel, nbytes)`` (at
-        #: enqueue) and ``on_channel_transfer(channel, nbytes, duration)``
-        #: (at completion).
+        #: Optional :class:`~repro.probe.Probe`; ``None`` keeps each tap
+        #: at one identity check.
         self.probe = None
 
     def transfer_time(self, nbytes: int) -> float:

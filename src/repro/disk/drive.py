@@ -89,11 +89,8 @@ class Disk:
         self.cylinder = 0
         self._wakeup: Optional[Event] = None
         self._current: Optional[DiskRequest] = None
-        #: Optional observation tap (``repro.validate`` /
-        #: ``repro.obs``): an object with ``on_disk_submit(disk,
-        #: request)`` / ``on_disk_complete(disk, request)`` /
-        #: ``on_disk_phase(disk, request, phase, t0, t1)``.  ``None``
-        #: keeps the data path at one identity check per tap.
+        #: Optional :class:`~repro.probe.Probe`; ``None`` keeps the data
+        #: path at one identity check per tap.
         self.probe = None
 
         # -- statistics --

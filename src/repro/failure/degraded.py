@@ -400,7 +400,10 @@ class DegradedParityController(_DegradedMixin, UncachedParityController):
                     # One buffer per source read, minus the data block's
                     # own buffer already counted in the base claim.
                     extra += max(len(sources) - 1, 0)
-        return base + extra
+        # A large write onto the failed disk can count more source reads
+        # than the pool holds; it then claims the whole pool, still in
+        # one acquire.
+        return min(base + extra, self.buffers.capacity)
 
     def _rmw(self, group: WriteGroup) -> Generator[Event, None, None]:
         touches_failed = any(

@@ -20,6 +20,7 @@ from typing import Generator, Optional, Union
 import numpy as np
 
 from repro.des import AllOf, Environment, Event, Tally
+from repro.probe import ProbeFanout
 from repro.sim.config import SystemConfig
 from repro.sim.results import ArrayMetrics, RunResult
 from repro.sim.system import ArraySystem, build_system
@@ -196,6 +197,11 @@ def run_trace(
 
         tracer = trace if not isinstance(trace, bool) else Tracer()
         tracer.attach(env, system.controllers)
+    # The request hooks reach the monitor first too, as every tap does.
+    if monitor is not None and tracer is not None:
+        probe = ProbeFanout((monitor, tracer))
+    else:
+        probe = monitor if monitor is not None else tracer
 
     # Identity checks, not truthiness: an empty pre-built registry has
     # len() == 0 and must still be used.
@@ -244,8 +250,7 @@ def run_trace(
     # drains.
     progress = _Progress(len(workload), Event(env))
     env.process(
-        _source(env, system, workload, warmup_ms, result, progress, monitor,
-                tracer, collector)
+        _source(env, system, workload, warmup_ms, result, progress, probe, collector)
     )
     if len(workload):
         env.run(until=progress.all_done)
@@ -354,8 +359,7 @@ def _source(
     warmup_ms: float,
     result: RunResult,
     progress: "_Progress",
-    monitor=None,
-    tracer=None,
+    probe=None,
     collector=None,
 ) -> Generator[Event, None, None]:
     """Release requests at their trace arrival times.
@@ -383,8 +387,6 @@ def _source(
             t = times[i]
             if t > env.now:
                 yield env.timeout(t - env.now)
-            if monitor is not None:
-                monitor.request_released(rid, env.now)
             # Started in this step: the source sleeps until the next
             # arrival right after, so no other event runs in between.
             env.process_now(
@@ -397,9 +399,8 @@ def _source(
                     warmup_ms,
                     result,
                     progress,
-                    monitor,
                     rid,
-                    tracer,
+                    probe,
                     collector,
                 )
             )
@@ -415,14 +416,13 @@ def _request(
     warmup_ms: float,
     result: RunResult,
     progress: "_Progress",
-    monitor=None,
     rid: int = -1,
-    tracer=None,
+    probe=None,
     collector=None,
 ) -> Generator[Event, None, None]:
     """Service one trace request, splitting across arrays if needed."""
-    if tracer is not None:
-        tracer.request_released(rid, env.active_process, lblock, nblocks, is_write)
+    if probe is not None:
+        probe.on_request_released(rid, env.active_process, lblock, nblocks, is_write)
     t0 = env.now
     parts = system.split(lblock, nblocks)
 
@@ -436,10 +436,8 @@ def _request(
         ]
         yield AllOf(env, procs)
 
-    if monitor is not None:
-        monitor.request_completed(rid, env.now)
-    if tracer is not None:
-        tracer.request_completed(rid)
+    if probe is not None:
+        probe.on_request_completed(rid)
     if t0 >= warmup_ms:
         rt = env.now - t0
         result.response.observe(rt)

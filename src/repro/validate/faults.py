@@ -64,20 +64,21 @@ def lose_completions(every: int = 2):
     """
     from repro.validate.monitor import ValidationMonitor
 
-    orig = ValidationMonitor.request_completed
+    orig = ValidationMonitor.on_request_completed
     state = {"n": 0}
 
-    def faulty(self, rid, time):
+    def faulty(self, rid):
         state["n"] += 1
         if state["n"] % every == 0:
             return
-        orig(self, rid, time)
+        orig(self, rid)
 
-    ValidationMonitor.request_completed = faulty
+    ValidationMonitor.on_request_completed = faulty
     try:
         yield
     finally:
-        ValidationMonitor.request_completed = orig
+        # Back to the hook ValidationMonitor inherits from ProbeFanout.
+        del ValidationMonitor.on_request_completed
 
 
 @contextmanager

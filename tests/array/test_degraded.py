@@ -176,6 +176,22 @@ class TestDegradedParity:
         run_one(env, ctrl, lb, 1, False)
         assert ctrl.degraded_reads == 1
 
+    def test_large_write_onto_failed_disk_claims_at_most_the_pool(self):
+        """20 blocks onto the failed disk need 2 extra source-read buffers
+        each, more than the pool holds: the group claims the whole pool
+        in its one acquire instead of failing."""
+        env, ctrl = build_degraded("parity_striping", failed=2)
+        lb = next(
+            b
+            for b in range(ctrl.layout.logical_blocks)
+            if ctrl.layout.map_block(b).disk == 2
+        )
+        assert ctrl.layout.map_block(lb + 19).disk == 2
+        run_one(env, ctrl, lb, 20, True)
+        assert ctrl.degraded_writes == 1
+        assert ctrl.buffers.peak_in_use == ctrl.buffers.capacity
+        assert ctrl.buffers.in_use == 0
+
 
 class TestDegradedMirror:
     def test_read_goes_to_survivor(self):

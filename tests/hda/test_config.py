@@ -6,9 +6,6 @@ through the allocation policies, and the ``with_`` regression — a
 piecemeal update must be validated exactly like a fresh construction.
 """
 
-import importlib
-import sys
-
 import pytest
 
 from repro.layout import AllocationError
@@ -160,12 +157,3 @@ class TestWithValidation:
     def test_invalid_update_on_hda_config_raises(self):
         with pytest.raises(ValueError):
             hda_config().with_(allocation="bogus")
-
-
-def test_degraded_shim_warns_and_reexports():
-    sys.modules.pop("repro.array.degraded", None)
-    with pytest.warns(DeprecationWarning, match="repro.failure.degraded"):
-        mod = importlib.import_module("repro.array.degraded")
-    from repro.failure.degraded import DegradedParityController
-
-    assert mod.DegradedParityController is DegradedParityController

@@ -64,7 +64,7 @@ class TestLifecycle:
         class Recorder(InvariantChecker):
             name = "recorder"
 
-            def on_disk_submit(self, ctx, disk, request):
+            def on_disk_submit(self, disk, request):
                 seen.append(request.start_block)
 
         cfg = config(org="base")
